@@ -135,16 +135,23 @@ type phaseTimers struct {
 	outs     []transport.Outgoing // broadcast headers, reused across attempts
 }
 
-// broadcast hands one copy of req per destination in group to ep as a single
-// batch — one syscall on the real wire instead of one per replica. Every
-// destination gets a freshly allocated copy (the transport owns a message
-// once handed over, and stamps Src per send), while the Outgoing headers
-// live in the caller's scratch, which is returned for reuse.
+// broadcast hands req to every destination in group through ep as a single
+// batch — one syscall on the real wire instead of one per replica. All
+// destinations share one freshly allocated copy (the transport owns a
+// message once handed over; receivers treat inbound messages as read-only),
+// while the Outgoing headers live in the caller's scratch, which is returned
+// for reuse.
 func broadcast(ep transport.Endpoint, group []message.Addr, req *message.Message, scratch []transport.Outgoing) []transport.Outgoing {
+	m := new(message.Message)
+	*m = *req
+	return sendTo(ep, group, m, scratch)
+}
+
+// sendTo hands the already-copied m to every destination in dsts as one
+// batch, reusing scratch for the Outgoing headers.
+func sendTo(ep transport.Endpoint, dsts []message.Addr, m *message.Message, scratch []transport.Outgoing) []transport.Outgoing {
 	outs := scratch[:0]
-	for _, dst := range group {
-		m := new(message.Message)
-		*m = *req
+	for _, dst := range dsts {
 		outs = append(outs, transport.Outgoing{Dst: dst, M: m})
 	}
 	ep.SendBatch(outs)
@@ -243,7 +250,10 @@ type Coordinator struct {
 	origIdx    []int                // ReadMany: original index of each grouped key
 	readRes    []message.ReadResult // ReadMany result scratch, returned to the caller
 	roKeys     []roKeyState         // snapshot-read settlement scratch, aligned with grouped keys
-	roOuts     []transport.Outgoing // snapshot-read broadcast headers
+	roOuts     []transport.Outgoing // snapshot-read send headers
+	roDsts     []message.Addr       // snapshot-read destinations of one send
+	roSent     []roSent             // per-partition snapshot request, for hedging
+	hedgeT     rtimer               // snapshot-read hedge delay
 	ro1        [1]string            // single-key scratch for SnapshotRead
 
 	// lastTS is the highest timestamp this coordinator has committed at, on

@@ -304,6 +304,11 @@ func (ep *endpoint) Send(dst message.Addr, m *message.Message) error {
 	}
 
 	src := ep.inner.Addr()
+	// Stamp Src here, before any delayed or held copy can be in flight: a
+	// message shared by several destinations must see no later write.
+	if m.Src != src {
+		m.Src = src
+	}
 	st := n.state.Load()
 	if !st.reachable(src.Node, dst.Node) {
 		n.stats.Blackhole.Add(1)

@@ -302,3 +302,50 @@ func TestPlanValidation(t *testing.T) {
 		t.Errorf("zero plan rejected: %v", err)
 	}
 }
+
+// TestSharedMessageUnderFaults sends one message to several destinations
+// through delay and duplication rules, as the coordinator's broadcast does.
+// Delayed and duplicated copies are dispatched from timer goroutines while
+// later sends of the same message are still running; under -race this
+// fails if any layer writes the shared message after the first dispatch.
+func TestSharedMessageUnderFaults(t *testing.T) {
+	plan := &Plan{Seed: 5, Rules: []Rule{{
+		SrcNode: Any, DstNode: Any, SrcCore: Any, DstCore: Any,
+		DupProb: 0.5, DelayProb: 0.5, Delay: time.Millisecond, Jitter: time.Millisecond,
+	}}}
+	n := Wrap(transport.NewInproc(transport.InprocConfig{}), plan)
+	t.Cleanup(func() { n.Close() })
+	var col collector
+	var batch []transport.Outgoing
+	for node := uint32(2); node <= 4; node++ {
+		if _, err := n.Listen(addr(node, 0), func(m *message.Message) {
+			_ = m.Src
+			col.handle(m)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		batch = append(batch, transport.Outgoing{Dst: addr(node, 0)})
+	}
+	src, err := n.Listen(addr(1, 0), func(*message.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 100
+	for i := 0; i < rounds; i++ {
+		m := &message.Message{Type: message.TypeRead, Seq: uint64(i)}
+		for j := range batch {
+			batch[j].M = m
+		}
+		src.SendBatch(batch)
+	}
+	if got := col.wait(rounds*len(batch), 2*time.Second); got < rounds*len(batch) {
+		t.Fatalf("delivered %d messages, want at least %d", got, rounds*len(batch))
+	}
+	col.mu.Lock()
+	defer col.mu.Unlock()
+	for _, m := range col.msgs {
+		if m.Src != addr(1, 0) {
+			t.Fatalf("message %d carries Src %v", m.Seq, m.Src)
+		}
+	}
+}

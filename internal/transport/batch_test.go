@@ -274,3 +274,50 @@ func TestUDPListenPortCollision(t *testing.T) {
 		t.Fatalf("duplicate listen: %v, want ErrAddrInUse", err)
 	}
 }
+
+// TestInprocSendBatchSharedMessage sends one message to several receivers
+// in a batch, as the coordinator's broadcast does. Receivers read the
+// message (Src included) while the sender is still dispatching the rest of
+// the batch; under -race this fails if the transport writes a shared
+// message after handing it to the first receiver.
+func TestInprocSendBatchSharedMessage(t *testing.T) {
+	n := NewInproc(InprocConfig{})
+	defer n.Close()
+	src := message.Addr{Node: 0, Core: 0}
+	var count atomic.Int64
+	var bad atomic.Int64
+	var batch []Outgoing
+	for node := uint32(1); node <= 3; node++ {
+		dst := message.Addr{Node: node, Core: 0}
+		if _, err := n.Listen(dst, func(m *message.Message) {
+			if m.Src != src || m.Type != message.TypePut {
+				bad.Add(1)
+			}
+			count.Add(1)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		batch = append(batch, Outgoing{Dst: dst})
+	}
+	ep, err := n.Listen(src, func(*message.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 200
+	for i := 0; i < rounds; i++ {
+		m := &message.Message{Type: message.TypePut, Seq: uint64(i)}
+		for j := range batch {
+			batch[j].M = m
+		}
+		if err := ep.SendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := ep.Send(batch[0].Dst, m); err != nil { // a resend, as a hedge does
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "shared-message delivery", func() bool { return count.Load() == rounds*4 })
+	if b := bad.Load(); b != 0 {
+		t.Fatalf("%d receivers saw a wrong Src or type", b)
+	}
+}

@@ -306,7 +306,9 @@ func (ep *inprocEndpoint) Send(dst message.Addr, m *message.Message) error {
 	if ep.closed.Load() {
 		return ErrClosed
 	}
-	m.Src = ep.addr
+	if m.Src != ep.addr {
+		m.Src = ep.addr
+	}
 	return ep.net.dispatch(ep, dst, m)
 }
 
@@ -318,8 +320,14 @@ func (ep *inprocEndpoint) SendBatch(batch []Outgoing) error {
 	if ep.closed.Load() {
 		return ErrClosed
 	}
+	// Stamp every message before dispatching any: a message shared by
+	// several destinations is being read by the first receiver already.
 	for i := range batch {
-		batch[i].M.Src = ep.addr
+		if batch[i].M.Src != ep.addr {
+			batch[i].M.Src = ep.addr
+		}
+	}
+	for i := range batch {
 		if err := ep.net.dispatch(ep, batch[i].Dst, batch[i].M); err != nil {
 			return err
 		}

@@ -44,8 +44,10 @@ type Endpoint interface {
 	// Send delivers m to the endpoint at dst, asynchronously and
 	// unreliably: the message may be dropped, delayed, or reordered, per
 	// the network's fault configuration (or the whims of a real kernel).
-	// The transport stamps m.Src before delivery. Callers must not mutate
-	// m after Send returns. A transport may briefly coalesce a Send with
+	// The transport stamps m.Src before delivery, writing it only when it
+	// differs: one message may go to several destinations (see SendBatch),
+	// and a receiver may already be reading it. Callers must not mutate m
+	// after Send returns, and receivers must not mutate inbound messages. A transport may briefly coalesce a Send with
 	// neighbouring sends (see SendBatch); Flush forces anything buffered
 	// onto the wire.
 	Send(dst message.Addr, m *message.Message) error
@@ -55,8 +57,9 @@ type Endpoint interface {
 	// the transport either serializes or hands them off before
 	// returning, so the caller may reuse the batch slice immediately —
 	// but, as with Send, must never mutate the messages themselves
-	// afterwards. Equivalent to calling Send once per element; the same
-	// delivery guarantees (none) apply.
+	// afterwards. One message may appear in several elements; every
+	// destination then receives that same pointer. Equivalent to calling
+	// Send once per element; the same delivery guarantees (none) apply.
 	SendBatch(batch []Outgoing) error
 	// Flush forces out anything the transport has buffered but not yet
 	// put on the wire. Transports that buffer nothing return nil

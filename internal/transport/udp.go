@@ -349,7 +349,9 @@ func (ep *udpEndpoint) Send(dst message.Addr, m *message.Message) error {
 	if ep.closed.Load() {
 		return ErrClosed
 	}
-	m.Src = ep.addr
+	if m.Src != ep.addr {
+		m.Src = ep.addr
+	}
 	ep.mu.Lock()
 	ep.bufferLocked(dst, m)
 	err := ep.sendPendingLocked()
@@ -366,7 +368,9 @@ func (ep *udpEndpoint) SendBatch(batch []Outgoing) error {
 	}
 	ep.mu.Lock()
 	for i := range batch {
-		batch[i].M.Src = ep.addr
+		if batch[i].M.Src != ep.addr {
+			batch[i].M.Src = ep.addr
+		}
 		ep.bufferLocked(batch[i].Dst, batch[i].M)
 	}
 	err := ep.sendPendingLocked()

@@ -11,12 +11,13 @@ import (
 )
 
 // TestReadFastPathZeroAllocs is the regression gate for the lock-free read
-// path: a read hit must be two atomic loads — no locks, no allocations.
+// path: a read hit must be two atomic loads and a map probe — no locks, no
+// allocations.
 func TestReadFastPathZeroAllocs(t *testing.T) {
 	s := New(Config{})
 	s.Load("hot", []byte("v"), timestamp.Timestamp{Time: 1, ClientID: 1})
-	// Warm the sync.Map so the key is promoted to the read-only portion
-	// (promotion happens after enough lock-free misses of the dirty map).
+	// Warm the index so the key is promoted from the dirty map to the
+	// published read map (promotion follows enough read-map misses).
 	for i := 0; i < 64; i++ {
 		s.Read("hot")
 	}
@@ -39,15 +40,15 @@ func TestReadAtFastPath(t *testing.T) {
 		s.Load("k", []byte{byte(i)}, timestamp.Timestamp{Time: int64(10 * i), ClientID: 1})
 	}
 	// Fast path: ts at or above the latest version.
-	if v, ok := s.ReadAt("k", timestamp.Timestamp{Time: 100, ClientID: 1}); !ok || v.Value[0] != 4 {
+	if v, ok, _ := s.ReadAt("k", timestamp.Timestamp{Time: 100, ClientID: 1}); !ok || v.Value[0] != 4 {
 		t.Fatalf("ReadAt(100) = %v, %v", v, ok)
 	}
 	// Slow path: ts between older versions.
-	if v, ok := s.ReadAt("k", timestamp.Timestamp{Time: 25, ClientID: 1}); !ok || v.Value[0] != 2 {
+	if v, ok, _ := s.ReadAt("k", timestamp.Timestamp{Time: 25, ClientID: 1}); !ok || v.Value[0] != 2 {
 		t.Fatalf("ReadAt(25) = %v, %v", v, ok)
 	}
 	// Below the oldest version.
-	if _, ok := s.ReadAt("k", timestamp.Timestamp{Time: 5, ClientID: 1}); ok {
+	if _, ok, _ := s.ReadAt("k", timestamp.Timestamp{Time: 5, ClientID: 1}); ok {
 		t.Fatal("ReadAt(5) found a version")
 	}
 }
@@ -147,7 +148,7 @@ func BenchmarkVstoreRead(b *testing.B) {
 		keys[i] = fmt.Sprintf("key%04d", i)
 		s.Load(keys[i], []byte("value"), timestamp.Timestamp{Time: 1, ClientID: 1})
 	}
-	for _, k := range keys { // warm the read-only map portion
+	for _, k := range keys { // promote every key into the read map
 		s.Read(k)
 	}
 	b.ReportAllocs()

@@ -269,7 +269,7 @@ func TestReadAtSeesConsistentOpHistory(t *testing.T) {
 		want string
 	}{{10, "1"}, {20, "11"}, {30, "111"}, {99, "111"}}
 	for _, c := range cases {
-		v, ok := s.ReadAt("k", ts(c.at))
+		v, ok, _ := s.ReadAt("k", ts(c.at))
 		if !ok || string(v.Value) != c.want {
 			t.Fatalf("ReadAt(%d) = %q ok=%v, want %q", c.at, v.Value, ok, c.want)
 		}

@@ -14,12 +14,14 @@
 // the Zero-Coordination Principle. The same store backs Meerkat, Meerkat-PB,
 // TAPIR-like, and KuaFu++, mirroring the paper's shared storage layer.
 //
-// Reads take a lock-free fast path: the key index is a sync.Map per shard
-// (lock-free hits once a key is in the read-mostly portion) and each entry
-// publishes its latest committed version through an atomic.Pointer snapshot.
-// A read of a committed key therefore touches zero mutexes; only validation
-// and version install — the paper's "small atomic regions" — take the
-// per-key lock. See DESIGN.md ("Hot-path performance") for the invariant.
+// Reads take a lock-free fast path: each shard's key index is an
+// insert-only, read-mostly string map whose promoted part is an immutable Go
+// map behind an atomic.Pointer (see index), and each entry publishes its
+// latest committed version through an atomic.Pointer snapshot. A read of a
+// committed key therefore touches zero mutexes and no shared cache line it
+// writes; only validation and version install — the paper's "small atomic
+// regions" — take the per-key lock. See DESIGN.md ("Hot-path performance")
+// for the invariant.
 package vstore
 
 import (
@@ -160,7 +162,7 @@ type Config struct {
 
 // Store is the versioned storage layer.
 type Store struct {
-	shards      []shard
+	shards      []index
 	mask        uint64
 	maxVersions int
 
@@ -172,11 +174,118 @@ type Store struct {
 	opsRecovered atomic.Uint64
 }
 
-// shard holds one slice of the key index. sync.Map fits the access pattern
-// exactly: after warmup the keyset is stable, so lookups hit the read-only
-// portion — an atomic load, no mutex, no allocation. Values are *entry.
-type shard struct {
-	m sync.Map
+// index is one shard's key index: string-keyed, insert-only, read-mostly.
+// vstore never deletes a key, so the index needs no tombstones, and after
+// warm-up the keyset is stable. Lookups load an immutable map through an
+// atomic pointer — one atomic load and one hash probe, no lock, no
+// allocation, no write to shared memory. Keys created since the last
+// promotion live in a mutex-guarded dirty map. Promotion publishes read ∪
+// dirty as the new read map, a copy of len(read)+len(dirty) entries; it
+// happens on a lookup that missed the read map once the dirty map's misses
+// plus its keys reach len(read), so every copy is paid for by that many
+// inserts and locked lookups and both stay amortized O(1). After a bulk
+// load the first miss promotes; a single new key in a large shard waits
+// for about len(read) misses. This is sync.Map's original read-map design,
+// specialised to string keys and *entry values; since Go 1.24 sync.Map is
+// a hash-trie whose lookups cost 2–3 times a plain map's.
+type index struct {
+	read atomic.Pointer[readMap] // never nil once New returns
+
+	mu     sync.Mutex
+	dirty  map[string]*entry // keys not yet in read; nil when read is complete
+	misses int               // lookups that missed read since the last promotion
+}
+
+// readMap is an index's published, never-mutated map. amended reports that
+// the dirty map holds keys read lacks, so a read miss must consult it.
+type readMap struct {
+	m       map[string]*entry
+	amended bool
+}
+
+// load returns the entry for key, or nil if absent.
+func (ix *index) load(key string) *entry {
+	r := ix.read.Load()
+	if e, ok := r.m[key]; ok || !r.amended {
+		return e
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	r = ix.read.Load()
+	if e, ok := r.m[key]; ok {
+		return e // promoted while we took the lock
+	}
+	e := ix.dirty[key]
+	if ix.dirty != nil {
+		ix.missLocked(r)
+	}
+	return e
+}
+
+// loadOrCreate returns the entry for key, creating and indexing an empty
+// one if absent. Concurrent callers for one fresh key get the same entry.
+// Creating a key takes the lock anyway, so only a hit in the dirty map
+// counts as a miss: promotion would have made that lookup lock-free.
+func (ix *index) loadOrCreate(key string) *entry {
+	if e, ok := ix.read.Load().m[key]; ok {
+		return e
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	r := ix.read.Load()
+	if e, ok := r.m[key]; ok {
+		return e
+	}
+	if e, ok := ix.dirty[key]; ok {
+		ix.missLocked(r)
+		return e
+	}
+	e := &entry{}
+	if ix.dirty == nil {
+		ix.dirty = make(map[string]*entry)
+		ix.read.Store(&readMap{m: r.m, amended: true})
+	}
+	ix.dirty[key] = e
+	return e
+}
+
+// missLocked counts one lookup that missed the read map r and promotes once
+// the dirty map's misses and inserts pay for the copy. Caller holds ix.mu;
+// ix.dirty is non-nil.
+func (ix *index) missLocked(r *readMap) {
+	ix.misses++
+	if ix.misses+len(ix.dirty) >= len(r.m) {
+		ix.promoteLocked(r)
+	}
+}
+
+// promoteLocked publishes read ∪ dirty as the new read map. Caller holds
+// ix.mu; ix.dirty is non-nil.
+func (ix *index) promoteLocked(r *readMap) {
+	m := make(map[string]*entry, len(r.m)+len(ix.dirty))
+	for k, e := range r.m {
+		m[k] = e
+	}
+	for k, e := range ix.dirty {
+		m[k] = e
+	}
+	ix.read.Store(&readMap{m: m})
+	ix.dirty, ix.misses = nil, 0
+}
+
+// snapshot returns a map holding every key indexed so far, promoting the
+// dirty keys first so the caller iterates without the lock. The result must
+// not be mutated.
+func (ix *index) snapshot() map[string]*entry {
+	if r := ix.read.Load(); !r.amended {
+		return r.m
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if ix.dirty != nil {
+		ix.promoteLocked(ix.read.Load())
+	}
+	return ix.read.Load().m
 }
 
 // New returns an empty Store.
@@ -192,7 +301,11 @@ func New(cfg Config) *Store {
 	if maxV == 0 {
 		maxV = 8
 	}
-	return &Store{shards: make([]shard, n), mask: uint64(n - 1), maxVersions: maxV}
+	s := &Store{shards: make([]index, n), mask: uint64(n - 1), maxVersions: maxV}
+	for i := range s.shards {
+		s.shards[i].read.Store(&readMap{})
+	}
+	return s
 }
 
 // fnv1a hashes key without allocating.
@@ -209,27 +322,19 @@ func fnv1a(key string) uint64 {
 	return h
 }
 
-func (s *Store) shardFor(key string) *shard {
+func (s *Store) shardFor(key string) *index {
 	return &s.shards[fnv1a(key)&s.mask]
 }
 
 // get returns the entry for key, or nil if absent. Lock-free on the hit
-// path: sync.Map.Load on a warm key is an atomic load of the read-only map.
+// path: one atomic load of the shard's read map plus one map probe.
 func (s *Store) get(key string) *entry {
-	if v, ok := s.shardFor(key).m.Load(key); ok {
-		return v.(*entry)
-	}
-	return nil
+	return s.shardFor(key).load(key)
 }
 
 // getOrCreate returns the entry for key, creating it if absent.
 func (s *Store) getOrCreate(key string) *entry {
-	sh := s.shardFor(key)
-	if v, ok := sh.m.Load(key); ok {
-		return v.(*entry)
-	}
-	v, _ := sh.m.LoadOrStore(key, &entry{})
-	return v.(*entry)
+	return s.shardFor(key).loadOrCreate(key)
 }
 
 // Load installs an initial version of key at ts, bypassing concurrency
@@ -264,24 +369,36 @@ func (s *Store) Read(key string) (Version, bool) {
 // When the latest committed version already satisfies ts — the common case
 // for current-time reads — it is answered from the lock-free snapshot;
 // only older-version reads walk the history under the per-key lock.
-func (s *Store) ReadAt(key string, ts timestamp.Timestamp) (Version, bool) {
+//
+// known is false when every retained version is newer than ts and older
+// history was trimmed (MaxVersions) or never imported (state transfer): the
+// answer is then unknown, not "never written", and ok is false too.
+func (s *Store) ReadAt(key string, ts timestamp.Timestamp) (v Version, ok, known bool) {
 	e := s.get(key)
 	if e == nil {
-		return Version{}, false
+		return Version{}, false, true
 	}
-	if v := e.latest.Load(); v == nil {
-		return Version{}, false
-	} else if v.WTS.LessEq(ts) {
-		return *v, true
+	if lv := e.latest.Load(); lv == nil {
+		return Version{}, false, true
+	} else if lv.WTS.LessEq(ts) {
+		return *lv, true, true
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for i := len(e.versions) - 1; i >= 0; i-- {
-		if e.versions[i].WTS.LessEq(ts) {
-			return e.versions[i], true
-		}
+	if i := e.atLocked(ts); i >= 0 {
+		return e.versions[i], true, true
 	}
-	return Version{}, false
+	return Version{}, false, !e.baseTrimmed
+}
+
+// atLocked returns the index of the newest retained version with WTS <= ts,
+// or -1 if none. Caller holds e.mu.
+func (e *entry) atLocked(ts timestamp.Timestamp) int {
+	i := len(e.versions) - 1
+	for i >= 0 && ts.Less(e.versions[i].WTS) {
+		i--
+	}
+	return i
 }
 
 // SnapshotRead serves one key of a read-only snapshot transaction at snap.
@@ -299,6 +416,12 @@ func (s *Store) ReadAt(key string, ts timestamp.Timestamp) (Version, bool) {
 // false if none). The entry is created if missing: the rts guard must hold
 // for never-written keys too, otherwise a later first write could slide
 // under an already-confirmed snapshot.
+//
+// If every retained version is newer than snap and older history was
+// trimmed or never imported, the value at snap is unknown — "ok false"
+// would claim the key was never written. The bound is then Zero, so the
+// reply never confirms and the coordinator falls back to the validated
+// path.
 func (s *Store) SnapshotRead(key string, snap timestamp.Timestamp) (Version, timestamp.Timestamp, bool) {
 	e := s.getOrCreate(key)
 	e.mu.Lock()
@@ -311,10 +434,11 @@ func (s *Store) SnapshotRead(key string, snap timestamp.Timestamp) (Version, tim
 	if w, ok := e.writers.min(); ok && w.LessEq(snap) {
 		bound = w.Prev()
 	}
-	for i := len(e.versions) - 1; i >= 0; i-- {
-		if e.versions[i].WTS.LessEq(snap) {
-			return e.versions[i], bound, true
-		}
+	if i := e.atLocked(snap); i >= 0 {
+		return e.versions[i], bound, true
+	}
+	if e.baseTrimmed {
+		bound = timestamp.Zero
 	}
 	return Version{}, bound, false
 }
@@ -525,6 +649,25 @@ func (e *entry) insertLocked(v Version, maxVersions int) (recovered bool) {
 			}
 			v.Value = message.ApplyOp(nil, prev, v.Op, v.OpDelta, v.OpArg)
 		}
+		if maxVersions > 0 && len(e.versions) == maxVersions {
+			// Trim before appending, so a full chain reuses its array
+			// instead of doubling past MaxVersions.
+			n := copy(e.versions, e.versions[1:])
+			e.versions = e.versions[:n]
+			e.baseTrimmed = true
+		} else if maxVersions > 0 && len(e.versions) == cap(e.versions) {
+			// Grow by doubling, capped at MaxVersions.
+			c := 2 * cap(e.versions)
+			if c == 0 {
+				c = 1
+			}
+			if c > maxVersions {
+				c = maxVersions
+			}
+			vs := make([]Version, len(e.versions), c)
+			copy(vs, e.versions)
+			e.versions = vs
+		}
 		e.versions = append(e.versions, v)
 	} else if e.versions[pos].Op == message.OpNone {
 		return false // masked by a newer plain write (Thomas write rule)
@@ -666,10 +809,7 @@ func (s *Store) Versions(key string) []Version {
 func (s *Store) Len() int {
 	n := 0
 	for i := range s.shards {
-		s.shards[i].m.Range(func(_, _ any) bool {
-			n++
-			return true
-		})
+		n += len(s.shards[i].snapshot())
 	}
 	return n
 }
@@ -680,14 +820,12 @@ func (s *Store) Len() int {
 // must not be called from transaction processing.
 func (s *Store) Counts() (keys, versions uint64) {
 	for i := range s.shards {
-		s.shards[i].m.Range(func(_, v any) bool {
-			e := v.(*entry)
+		for _, e := range s.shards[i].snapshot() {
 			keys++
 			e.mu.Lock()
 			versions += uint64(len(e.versions))
 			e.mu.Unlock()
-			return true
-		})
+		}
 	}
 	return
 }
@@ -730,24 +868,22 @@ func (s *Store) ExportShardSince(i int, since timestamp.Timestamp, sinceWall int
 		return nil
 	}
 	var out []KeyState
-	s.shards[i].m.Range(func(k, v any) bool {
-		e := v.(*entry)
+	for k, e := range s.shards[i].snapshot() {
 		e.mu.Lock()
 		if len(e.versions) > 0 {
 			lv := e.versions[len(e.versions)-1]
 			if since.Less(lv.WTS) || since.Less(e.rts) || (sinceWall > 0 && e.appliedAt >= sinceWall) {
-				out = append(out, KeyState{Key: k.(string), Value: lv.Value, WTS: lv.WTS, RTS: e.rts})
+				out = append(out, KeyState{Key: k, Value: lv.Value, WTS: lv.WTS, RTS: e.rts})
 			}
 		} else if !e.rts.IsZero() && (since.Less(e.rts) || (sinceWall > 0 && e.appliedAt >= sinceWall)) {
 			// A key that was read (rts raised) but never written has state
 			// worth transferring too: dropping the rts would let the importer
 			// later validate a write below it, un-serializing the read. Export
 			// it with a zero WTS; ImportState installs only the rts.
-			out = append(out, KeyState{Key: k.(string), RTS: e.rts})
+			out = append(out, KeyState{Key: k, RTS: e.rts})
 		}
 		e.mu.Unlock()
-		return true
-	})
+	}
 	return out
 }
 
@@ -787,20 +923,10 @@ func (s *Store) ImportState(states []KeyState) {
 // blocks concurrent transactions.
 func (s *Store) Range(fn func(key string, v Version) bool) {
 	for i := range s.shards {
-		stop := false
-		s.shards[i].m.Range(func(k, v any) bool {
-			lv := v.(*entry).latest.Load()
-			if lv == nil {
-				return true
+		for k, e := range s.shards[i].snapshot() {
+			if lv := e.latest.Load(); lv != nil && !fn(k, *lv) {
+				return
 			}
-			if !fn(k.(string), *lv) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if stop {
-			return
 		}
 	}
 }

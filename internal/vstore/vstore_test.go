@@ -21,7 +21,7 @@ func TestReadMissingKey(t *testing.T) {
 	if _, ok := s.Read("nope"); ok {
 		t.Fatal("read of missing key succeeded")
 	}
-	if _, ok := s.ReadAt("nope", ts(100)); ok {
+	if _, ok, _ := s.ReadAt("nope", ts(100)); ok {
 		t.Fatal("ReadAt of missing key succeeded")
 	}
 }
@@ -66,7 +66,7 @@ func TestReadAtFindsOlderVersion(t *testing.T) {
 		{100, "v3", true},
 	}
 	for _, c := range cases {
-		v, ok := s.ReadAt("k", ts(c.at))
+		v, ok, _ := s.ReadAt("k", ts(c.at))
 		if ok != c.found {
 			t.Errorf("ReadAt(%d): found=%v, want %v", c.at, ok, c.found)
 			continue

@@ -249,3 +249,91 @@ func TestReadOnlyUnderWriteContention(t *testing.T) {
 		}
 	}
 }
+
+// TestReadOnlySnapshotQuorumSized pins the fast path's send size: on a
+// healthy cluster each snapshot multi-read goes to roQuorum replicas of the
+// partition (2 of 3), not the whole group, so a read-only transaction costs
+// exactly roQuorum replica snapshot reads per partition it touches.
+func TestReadOnlySnapshotQuorumSized(t *testing.T) {
+	// BackoffBase is also the hedge delay; a long one keeps a reply
+	// delayed by the scheduler or the race detector from widening a send.
+	c := newTestCluster(t, Config{Partitions: 2, Cores: 2, BackoffBase: 20 * time.Millisecond})
+	keys := []string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"}
+	parts := map[int]bool{}
+	for _, k := range keys {
+		c.Load(k, []byte("v"))
+		parts[c.topo.PartitionForKey(k)] = true
+	}
+	if len(parts) != 2 {
+		t.Fatalf("keys touch %d partitions, want 2", len(parts))
+	}
+	cl := newTestClient(t, c)
+	const quorum = 2 // Replicas - ceil(f/2) for 3 replicas
+	base := c.Obs().Snapshot()
+
+	const n = 40
+	for i := 0; i < n; i++ {
+		txn := cl.Begin()
+		txn.ReadOnly()
+		if _, err := txn.ReadMany(keys); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := txn.Commit(); err != nil || !ok || !txn.CommittedReadOnly() {
+			t.Fatalf("ro txn %d: ok=%v err=%v fast=%v", i, ok, err, txn.CommittedReadOnly())
+		}
+	}
+	snap := c.Obs().Snapshot()
+	d := func(k obs.Counter) uint64 { return snap.Counters[k] - base.Counters[k] }
+	if got, want := d(obs.SnapshotRead), uint64(n*len(parts)*quorum); got != want {
+		t.Errorf("replica snapshot reads = %d, want %d (%d txns x %d partitions x quorum %d)",
+			got, want, n, len(parts), quorum)
+	}
+	if h := d(obs.ROHedge); h != 0 {
+		t.Errorf("%d hedges on a healthy cluster, want 0", h)
+	}
+}
+
+// TestReadOnlySnapshotReplicaDown: with one replica crashed, a snapshot
+// read sent to a quorum that includes it must hedge to the rest of the
+// group after BackoffBase rather than wait out CommitTimeout, so
+// read-only transactions keep committing on the fast path, quickly.
+func TestReadOnlySnapshotReplicaDown(t *testing.T) {
+	const timeout = 500 * time.Millisecond
+	c := newTestCluster(t, Config{Cores: 2, CommitTimeout: timeout})
+	c.Load("a", []byte("1"))
+	c.Load("b", []byte("2"))
+	c.CrashReplica(0, 2)
+	cl := newTestClient(t, c)
+	base := c.Obs().Snapshot()
+
+	const n = 30
+	var slowest time.Duration
+	for i := 0; i < n; i++ {
+		start := time.Now()
+		txn := cl.Begin()
+		txn.ReadOnly()
+		vals, err := txn.ReadMany([]string{"a", "b"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := txn.Commit(); err != nil || !ok || !txn.CommittedReadOnly() {
+			t.Fatalf("ro txn %d: ok=%v err=%v fast=%v", i, ok, err, txn.CommittedReadOnly())
+		}
+		if string(vals[0]) != "1" || string(vals[1]) != "2" {
+			t.Fatalf("ro txn %d read %q, %q", i, vals[0], vals[1])
+		}
+		if el := time.Since(start); el > slowest {
+			slowest = el
+		}
+	}
+	if slowest > timeout/5 {
+		t.Errorf("slowest read-only txn took %v, want well under CommitTimeout %v", slowest, timeout)
+	}
+	snap := c.Obs().Snapshot()
+	if f := snap.Counters[obs.ROFallback] - base.Counters[obs.ROFallback]; f != 0 {
+		t.Errorf("%d read-only fallbacks with one replica down, want 0", f)
+	}
+	if h := snap.Counters[obs.ROHedge] - base.Counters[obs.ROHedge]; h == 0 {
+		t.Error("no hedges although the crashed replica sits in most rotations")
+	}
+}
