@@ -145,7 +145,7 @@ func RunFig1(cfg Fig1Config) (Fig1Result, error) {
 	var wg sync.WaitGroup
 	for c := 0; c < cfg.Clients; c++ {
 		in := transport.NewInbox(16)
-		ep, err := net.Listen(message.Addr{Node: uint32(1 + c), Core: 0}, in.Handle)
+		ep, err := net.ListenDirect(message.Addr{Node: uint32(1 + c), Core: 0}, in.Handle)
 		if err != nil {
 			return Fig1Result{}, fmt.Errorf("fig1: listen client %d: %w", c, err)
 		}

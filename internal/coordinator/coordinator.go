@@ -147,6 +147,15 @@ func broadcast(ep transport.Endpoint, group []message.Addr, req *message.Message
 	return sendTo(ep, group, m, scratch)
 }
 
+// release returns a reply the coordinator has finished reading to the
+// message pool: the coordinator owns every message it takes from an inbox.
+// Read values escape to the caller uncopied, so the reply disowns its byte
+// slices first (see message.Message.Disown).
+func release(m *message.Message) {
+	m.Disown()
+	message.ReleaseMessage(m)
+}
+
 // sendTo hands the already-copied m to every destination in dsts as one
 // batch, reusing scratch for the Outgoing headers.
 func sendTo(ep transport.Endpoint, dsts []message.Addr, m *message.Message, scratch []transport.Outgoing) []transport.Outgoing {
@@ -248,6 +257,7 @@ type Coordinator struct {
 	partIdx    []int                // per-partition scratch indexed by partition id
 	partOff    []int                // ReadMany group offsets, len Partitions+1
 	origIdx    []int                // ReadMany: original index of each grouped key
+	grouped    []string             // ReadMany keys in partition order (copied into each request)
 	readRes    []message.ReadResult // ReadMany result scratch, returned to the caller
 	roKeys     []roKeyState         // snapshot-read settlement scratch, aligned with grouped keys
 	roOuts     []transport.Outgoing // snapshot-read send headers
@@ -358,14 +368,14 @@ func New(cfg Config) (*Coordinator, error) {
 	depth := inboxDepth(cfg.Topo)
 	base := cfg.Topo.ClientAddr(cfg.ClientID)
 	c.readInbox = transport.NewInbox(depth)
-	ep, err := cfg.Net.Listen(base, c.readInbox.Handle)
+	ep, err := cfg.Net.ListenDirect(base, c.readInbox.Handle)
 	if err != nil {
 		return nil, err
 	}
 	c.readEp = ep
 	for p := 0; p < cfg.Topo.Partitions; p++ {
 		in := transport.NewInbox(depth)
-		ep, err := cfg.Net.Listen(message.Addr{Node: base.Node, Core: uint32(1 + p)}, in.Handle)
+		ep, err := cfg.Net.ListenDirect(message.Addr{Node: base.Node, Core: uint32(1 + p)}, in.Handle)
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -424,7 +434,10 @@ func (c *Coordinator) ReadCtx(ctx context.Context, key string) (value []byte, ve
 		r := c.rng.Intn(c.cfg.Topo.Replicas)
 		core := uint32(c.rng.Intn(c.cfg.Topo.Cores))
 		dst := c.cfg.Topo.ReplicaAddr(p, r, core)
-		err = c.readEp.Send(dst, &message.Message{Type: message.TypeRead, Key: key, Seq: seq, MapVersion: c.mapVersion()})
+		// Sent to one replica alone, which releases it after replying.
+		req := message.AcquireMessage()
+		req.Type, req.Key, req.Seq, req.MapVersion = message.TypeRead, key, seq, c.mapVersion()
+		err = c.readEp.Send(dst, req)
 		if err != nil {
 			return nil, timestamp.Timestamp{}, false, err
 		}
@@ -434,9 +447,12 @@ func (c *Coordinator) ReadCtx(ctx context.Context, key string) (value []byte, ve
 			select {
 			case m := <-c.readInbox.C:
 				if m.Type != message.TypeReadReply || m.Seq != seq {
+					release(m)
 					continue // stale reply
 				}
-				if m.WrongShard {
+				wrong, value, version, ok := m.WrongShard, m.Value, m.TS, m.OK
+				release(m)
+				if wrong {
 					// Routed with a stale map. If the refresh advanced it,
 					// the next attempt re-routes (reads are idempotent);
 					// otherwise the split is still mid-fence and the caller
@@ -447,7 +463,7 @@ func (c *Coordinator) ReadCtx(ctx context.Context, key string) (value []byte, ve
 					}
 					break wait
 				}
-				return m.Value, m.TS, m.OK, nil
+				return value, version, ok, nil
 			case <-ctx.Done():
 				break wait
 			case <-deadline:
@@ -460,14 +476,17 @@ func (c *Coordinator) ReadCtx(ctx context.Context, key string) (value []byte, ve
 
 // sendMultiRead fires one batched read at a uniformly chosen replica core of
 // partition p, through the partition's commit endpoint so the reply lands on
-// a queue no other partition shares. The message — and the keys slice inside
-// it — belongs to the transport once sent and is freshly allocated by the
-// caller per ReadMany, never a reused scratch.
+// a queue no other partition shares. The request is pooled and carries its
+// own copy of keys, so it never aliases the caller's scratch: the replica it
+// is sent to alone releases it after replying.
 func (c *Coordinator) sendMultiRead(p int, keys []string, seq uint64) error {
 	r := c.rng.Intn(c.cfg.Topo.Replicas)
 	core := uint32(c.rng.Intn(c.cfg.Topo.Cores))
 	dst := c.cfg.Topo.ReplicaAddr(p, r, core)
-	return c.commitEps[p].Send(dst, &message.Message{Type: message.TypeMultiRead, Keys: keys, Seq: seq, MapVersion: c.mapVersion()})
+	m := message.AcquireMessage()
+	m.Type, m.Seq, m.MapVersion = message.TypeMultiRead, seq, c.mapVersion()
+	m.Keys = append(m.Keys, keys...)
+	return c.commitEps[p].Send(dst, m)
 }
 
 // ReadMany performs one batched execution phase over keys: the keys are
@@ -496,44 +515,11 @@ func (c *Coordinator) ReadManyCtx(ctx context.Context, keys []string) ([]message
 		return nil, nil
 	}
 	nparts := c.cfg.Topo.Partitions
-
-	// Group keys by partition: count, then carve one fresh backing array
-	// into contiguous ascending-partition spans. partOff[p] is the start of
-	// partition p's span (len nparts+1, so span p is off[p]..off[p+1]);
-	// origIdx maps each grouped slot back to its position in keys.
-	if c.partIdx == nil || len(c.partIdx) < nparts {
-		c.partIdx = make([]int, nparts)
-		c.partOff = make([]int, nparts+1)
+	if cap(c.grouped) < len(keys) {
+		c.grouped = make([]string, len(keys))
 	}
-	cursor, off := c.partIdx, c.partOff
-	for p := 0; p < nparts; p++ {
-		cursor[p] = 0
-	}
-	if cap(c.keyParts) < len(keys) {
-		c.keyParts = make([]int, len(keys))
-	}
-	if cap(c.origIdx) < len(keys) {
-		c.origIdx = make([]int, len(keys))
-	}
-	kp, origIdx := c.keyParts[:len(keys)], c.origIdx[:len(keys)]
-	for i, k := range keys {
-		p := c.partitionFor(k)
-		kp[i] = p
-		cursor[p]++
-	}
-	sum := 0
-	for p := 0; p < nparts; p++ {
-		off[p] = sum
-		sum += cursor[p]
-		cursor[p] = off[p]
-	}
-	off[nparts] = sum
-	grouped := make([]string, len(keys))
-	for i, p := range kp {
-		grouped[cursor[p]] = keys[i]
-		origIdx[cursor[p]] = i
-		cursor[p]++
-	}
+	grouped := c.grouped[:len(keys)]
+	off, origIdx := c.groupByPartition(keys, grouped)
 
 	c.readSeq++
 	seq := c.readSeq
@@ -597,22 +583,26 @@ func (c *Coordinator) ReadManyCtx(ctx context.Context, keys []string) ([]message
 					}
 				}
 				if m.Type != message.TypeMultiReadReply || m.Seq != seq {
+					release(m)
 					continue // stale reply from an earlier operation
 				}
 				if m.WrongShard {
 					// The whole grouping was computed from a stale map:
 					// refresh and make the caller re-issue the batch, which
 					// will regroup every key under the new map.
+					release(m)
 					c.obs.Inc(obs.TxnWrongShard)
 					c.noteRedirect()
 					return nil, ErrWrongShard
 				}
 				if len(m.Reads) != want {
+					release(m)
 					continue // stale reply from an earlier operation
 				}
 				for j := range m.Reads {
 					out[origIdx[off[p]+j]] = m.Reads[j]
 				}
+				release(m)
 				got = true
 				break wait
 			}
@@ -622,6 +612,48 @@ func (c *Coordinator) ReadManyCtx(ctx context.Context, keys []string) ([]message
 		}
 	}
 	return out, nil
+}
+
+// groupByPartition writes keys into grouped (of the same length) as
+// contiguous ascending-partition spans: span p is grouped[off[p]:off[p+1]]
+// (off has Partitions+1 entries), and origIdx maps each grouped slot back to
+// its position in keys. off and origIdx are coordinator scratch, valid until
+// the next read operation.
+func (c *Coordinator) groupByPartition(keys, grouped []string) (off, origIdx []int) {
+	nparts := c.cfg.Topo.Partitions
+	if c.partIdx == nil || len(c.partIdx) < nparts {
+		c.partIdx = make([]int, nparts)
+		c.partOff = make([]int, nparts+1)
+	}
+	cursor, off := c.partIdx, c.partOff
+	for p := 0; p < nparts; p++ {
+		cursor[p] = 0
+	}
+	if cap(c.keyParts) < len(keys) {
+		c.keyParts = make([]int, len(keys))
+	}
+	if cap(c.origIdx) < len(keys) {
+		c.origIdx = make([]int, len(keys))
+	}
+	kp, origIdx := c.keyParts[:len(keys)], c.origIdx[:len(keys)]
+	for i, k := range keys {
+		p := c.partitionFor(k)
+		kp[i] = p
+		cursor[p]++
+	}
+	sum := 0
+	for p := 0; p < nparts; p++ {
+		off[p] = sum
+		sum += cursor[p]
+		cursor[p] = off[p]
+	}
+	off[nparts] = sum
+	for i, p := range kp {
+		grouped[cursor[p]] = keys[i]
+		origIdx[cursor[p]] = i
+		cursor[p]++
+	}
+	return off, origIdx
 }
 
 // Txn accumulates a transaction's read and write sets on the client, with
@@ -1346,15 +1378,16 @@ func (c *Coordinator) validatePhase(ctx context.Context, p int, txn *message.Txn
 					break collect
 				}
 			}
-			if m.Type != message.TypeValidateReply || m.TID != txn.ID {
-				continue
-			}
-			if m.ReplicaID >= 64 || seen&(1<<m.ReplicaID) != 0 {
+			if m.Type != message.TypeValidateReply || m.TID != txn.ID ||
+				m.ReplicaID >= 64 || seen&(1<<m.ReplicaID) != 0 {
+				release(m)
 				continue
 			}
 			seen |= 1 << m.ReplicaID
 			replied++
-			if m.WrongShard {
+			wrong, status := m.WrongShard, m.Status
+			release(m)
+			if wrong {
 				// The replica refused: under its current map it no longer
 				// owns part of this piece — a shard split sealed the range
 				// between the client's routing decision and this validate.
@@ -1362,7 +1395,7 @@ func (c *Coordinator) validatePhase(ctx context.Context, p int, txn *message.Txn
 				// seal decides (below) whether a plain abort is safe.
 				countWrong++
 			} else {
-				switch m.Status {
+				switch status {
 				case message.StatusValidatedOK:
 					countOK++
 				case message.StatusValidatedAbort:
@@ -1475,21 +1508,24 @@ func (c *Coordinator) slowPath(ctx context.Context, p int, txn *message.Txn, ts 
 				}
 			}
 			if m.Type != message.TypeAcceptReply || m.TID != txn.ID {
+				release(m)
 				continue
 			}
-			if !m.OK {
-				if m.View > superseded {
-					superseded = m.View
+			ok, mview, rid := m.OK, m.View, m.ReplicaID
+			release(m)
+			if !ok {
+				if mview > superseded {
+					superseded = mview
 				}
 				continue
 			}
-			if m.View != view {
+			if mview != view {
 				continue
 			}
-			if m.ReplicaID >= 64 || acked&(1<<m.ReplicaID) != 0 {
+			if rid >= 64 || acked&(1<<rid) != 0 {
 				continue
 			}
-			acked |= 1 << m.ReplicaID
+			acked |= 1 << rid
 			acks++
 			if acks >= majority {
 				return proposal == message.StatusAcceptCommit, nil

@@ -120,7 +120,7 @@ type Recoverer struct {
 // among backup coordinators (the replica index serves).
 func NewRecoverer(net transport.Network, t topo.Topology, addr message.Addr, proposer uint64, timeout time.Duration, retries int) (*Recoverer, error) {
 	in := transport.NewInbox(256)
-	ep, err := net.Listen(addr, in.Handle)
+	ep, err := net.ListenDirect(addr, in.Handle)
 	if err != nil {
 		return nil, err
 	}
@@ -183,21 +183,25 @@ func recoverTxn(env recoverEnv, tid timestamp.TxnID, coreID uint32, proposer, se
 			select {
 			case m := <-env.in.C:
 				if m.Type != message.TypeCoordChangeAck || m.TID != tid {
+					release(m)
 					continue
 				}
 				if !m.OK {
 					if m.View > higher {
 						higher = m.View
 					}
+					release(m)
 					continue
 				}
 				if m.View != view || acked[m.ReplicaID] {
+					release(m)
 					continue
 				}
 				acked[m.ReplicaID] = true
 				if len(m.Records) > 0 {
 					records = append(records, m.Records[0])
 				}
+				release(m)
 				if len(acked) >= majority {
 					deadline.Stop()
 					break collect
@@ -247,19 +251,22 @@ func recoverTxn(env recoverEnv, tid timestamp.TxnID, coreID uint32, proposer, se
 		for {
 			select {
 			case m := <-env.in.C:
-				if m.Type != message.TypeAcceptReply || m.TID != tid {
+				ok, mview, rid := m.OK, m.View, m.ReplicaID
+				match := m.Type == message.TypeAcceptReply && m.TID == tid
+				release(m)
+				if !match {
 					continue
 				}
-				if !m.OK {
-					if m.View > higher {
-						higher = m.View
+				if !ok {
+					if mview > higher {
+						higher = mview
 					}
 					continue
 				}
-				if m.View != view {
+				if mview != view {
 					continue
 				}
-				acks[m.ReplicaID] = true
+				acks[rid] = true
 				if len(acks) >= majority {
 					deadline.Stop()
 					committed := proposal == message.StatusAcceptCommit

@@ -97,14 +97,14 @@ func NewSession(cfg Config, window int) (*Session, error) {
 	}
 
 	base := cfg.Topo.ClientAddr(cfg.ClientID)
-	ep, err := cfg.Net.Listen(base, s.routeRead)
+	ep, err := cfg.Net.ListenDirect(base, s.routeRead)
 	if err != nil {
 		return nil, err
 	}
 	s.readEp = ep
 	for p := 0; p < cfg.Topo.Partitions; p++ {
 		p := p
-		ep, err := cfg.Net.Listen(message.Addr{Node: base.Node, Core: uint32(1 + p)},
+		ep, err := cfg.Net.ListenDirect(message.Addr{Node: base.Node, Core: uint32(1 + p)},
 			func(m *message.Message) { s.routeCommit(p, m) })
 		if err != nil {
 			s.Close()
@@ -120,11 +120,15 @@ func NewSession(cfg Config, window int) (*Session, error) {
 }
 
 // routeRead demultiplexes execution-phase replies (which echo the request's
-// Seq) onto the issuing worker's read inbox.
+// Seq) onto the issuing worker's read inbox. Like the routers below it never
+// blocks and reads only immutable state, so the endpoints are bound with
+// ListenDirect: a replica's reply lands in the worker's inbox in one hop.
 func (s *Session) routeRead(m *message.Message) {
 	if i := int(m.Seq >> readSeqShift); i < len(s.workers) {
 		s.workers[i].readInbox.Handle(m)
+		return
 	}
+	release(m)
 }
 
 // routeCommit demultiplexes partition p's commit-protocol replies. Multi-read
@@ -140,7 +144,9 @@ func (s *Session) routeCommit(p int, m *message.Message) {
 	}
 	if i < len(s.workers) {
 		s.workers[i].commitIns[p].Handle(m)
+		return
 	}
+	release(m)
 }
 
 // Window returns the session's pipeline width.

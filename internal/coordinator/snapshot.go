@@ -169,42 +169,11 @@ func (c *Coordinator) snapshotReadCtx(ctx context.Context, keys []string, snap t
 	quorum := c.roQuorum()
 
 	// Group keys by partition, exactly as ReadManyCtx does (shared scratch;
-	// the two paths never run concurrently on one coordinator).
-	if c.partIdx == nil || len(c.partIdx) < nparts {
-		c.partIdx = make([]int, nparts)
-		c.partOff = make([]int, nparts+1)
-	}
-	cursor, off := c.partIdx, c.partOff
-	for p := 0; p < nparts; p++ {
-		cursor[p] = 0
-	}
-	if cap(c.keyParts) < len(keys) {
-		c.keyParts = make([]int, len(keys))
-	}
-	if cap(c.origIdx) < len(keys) {
-		c.origIdx = make([]int, len(keys))
-	}
-	kp, origIdx := c.keyParts[:len(keys)], c.origIdx[:len(keys)]
-	for i, k := range keys {
-		p := c.partitionFor(k)
-		kp[i] = p
-		cursor[p]++
-	}
-	sum := 0
-	for p := 0; p < nparts; p++ {
-		off[p] = sum
-		sum += cursor[p]
-		cursor[p] = off[p]
-	}
-	off[nparts] = sum
-	// The keys slice inside a sent message belongs to the transport; like
-	// ReadManyCtx, allocate it fresh per operation, never a reused scratch.
+	// the two paths never run concurrently on one coordinator). The grouped
+	// keys ride in a request shared by several replicas, which none of them
+	// releases, so unlike ReadManyCtx's they are allocated fresh.
 	grouped := make([]string, len(keys))
-	for i, p := range kp {
-		grouped[cursor[p]] = keys[i]
-		origIdx[cursor[p]] = i
-		cursor[p]++
-	}
+	off, origIdx := c.groupByPartition(keys, grouped)
 
 	if cap(c.readRes) < len(keys) {
 		c.readRes = make([]message.ReadResult, len(keys))
@@ -286,9 +255,11 @@ func (c *Coordinator) snapshotReadCtx(ctx context.Context, keys []string, snap t
 					}
 				}
 				if m.Type != message.TypeMultiReadReply || m.Seq != pseq {
+					release(m)
 					continue
 				}
 				if m.WrongShard {
+					release(m)
 					// The replica no longer owns some requested key and, by
 					// design, refused before touching its store — a sealed
 					// copy must never raise read timestamps for a snapshot it
@@ -297,10 +268,8 @@ func (c *Coordinator) snapshotReadCtx(ctx context.Context, keys []string, snap t
 					c.noteRedirect()
 					return nil, minW, ErrWrongShard
 				}
-				if len(m.Reads) != want {
-					continue
-				}
-				if m.ReplicaID >= 64 || seen&(1<<m.ReplicaID) != 0 {
+				if len(m.Reads) != want || m.ReplicaID >= 64 || seen&(1<<m.ReplicaID) != 0 {
+					release(m)
 					continue
 				}
 				seen |= 1 << m.ReplicaID
@@ -308,22 +277,24 @@ func (c *Coordinator) snapshotReadCtx(ctx context.Context, keys []string, snap t
 				if m.Watermark.Less(minW) {
 					minW = m.Watermark
 				}
-				if m.Watermark == snap {
+				confirmedNow := m.Watermark == snap
+				if confirmedNow {
 					confirmed++
 					for j := range m.Reads {
 						pstate[j].merge(&m.Reads[j])
 					}
-					if confirmed >= quorum {
-						settledP = true
-						for j := range pstate {
-							if !pstate[j].settled() {
-								settledP = false
-								break
-							}
+				}
+				release(m)
+				if confirmedNow && confirmed >= quorum {
+					settledP = true
+					for j := range pstate {
+						if !pstate[j].settled() {
+							settledP = false
+							break
 						}
-						if settledP {
-							break collect
-						}
+					}
+					if settledP {
+						break collect
 					}
 				}
 				if replied == sent.asked {

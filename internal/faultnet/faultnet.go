@@ -189,6 +189,16 @@ func (n *Network) Listen(addr message.Addr, h transport.Handler) (transport.Endp
 	return &endpoint{net: n, inner: ep}, nil
 }
 
+// ListenDirect implements transport.Network, forwarding to the wrapped
+// network's direct binding.
+func (n *Network) ListenDirect(addr message.Addr, h transport.Handler) (transport.Endpoint, error) {
+	ep, err := n.inner.ListenDirect(addr, h)
+	if err != nil {
+		return nil, err
+	}
+	return &endpoint{net: n, inner: ep}, nil
+}
+
 // Close implements transport.Network.
 func (n *Network) Close() error { return n.inner.Close() }
 
@@ -386,29 +396,30 @@ func (ep *endpoint) SendBatch(batch []transport.Outgoing) error {
 // Flush implements transport.Endpoint, passing through to the wrapped wire.
 func (ep *endpoint) Flush() error { return ep.inner.Flush() }
 
-// send delivers m (and its duplicate) now or after the injected delay.
-// Duplicates are distinct Message values sharing payload slices: receivers
-// treat inbound messages as immutable, exactly as with a duplicating network.
+// send delivers m (and its duplicate) now or after the injected delay. The
+// duplicate is cloned before m is handed over: a receiver owns what it is
+// delivered and may release it to the message pool at once, so the copy
+// must not share m's recycled arrays (message.Message.Clone).
 func (ep *endpoint) send(dst message.Addr, m *message.Message, dup bool, delay time.Duration) error {
+	var m2 *message.Message
 	if dup {
 		ep.net.stats.Duplicated.Add(1)
+		m2 = m.Clone()
 	}
 	if delay > 0 {
 		ep.net.stats.Delayed.Add(1)
 		inner := ep.inner
 		time.AfterFunc(delay, func() {
 			inner.Send(dst, m)
-			if dup {
-				m2 := *m
-				inner.Send(dst, &m2)
+			if m2 != nil {
+				inner.Send(dst, m2)
 			}
 		})
 		return nil
 	}
 	err := ep.inner.Send(dst, m)
-	if dup {
-		m2 := *m
-		ep.inner.Send(dst, &m2)
+	if m2 != nil {
+		ep.inner.Send(dst, m2)
 	}
 	return err
 }

@@ -349,3 +349,72 @@ func TestSharedMessageUnderFaults(t *testing.T) {
 		}
 	}
 }
+
+// TestDuplicateSurvivesReleaseOfOriginal checks the duplication rule against
+// the pooled reply path: a receiver owns what it is delivered and may
+// release it to the message pool at once, so the duplicate must be an
+// independent copy made before the original is handed over — on the
+// undelayed path and on the delayed one, where both copies depart from a
+// timer goroutine. Under -race this also fails if the copy is taken after
+// the first delivery.
+func TestDuplicateSurvivesReleaseOfOriginal(t *testing.T) {
+	for _, delay := range []time.Duration{0, time.Millisecond} {
+		plan := &Plan{Seed: 9, Rules: []Rule{{
+			SrcNode: Any, DstNode: Any, SrcCore: Any, DstCore: Any,
+			DupProb: 1, DelayProb: 1, Delay: delay,
+		}}}
+		n := Wrap(transport.NewInproc(transport.InprocConfig{}), plan)
+		var (
+			mu     sync.Mutex
+			copies []*message.Message
+			bad    []string
+		)
+		// The first copy is released the moment it arrives, exactly as a
+		// coordinator releases a reply it has read.
+		if _, err := n.ListenDirect(addr(2, 0), func(m *message.Message) {
+			mu.Lock()
+			defer mu.Unlock()
+			if len(m.Keys) != 2 || m.Keys[1] != "k2" || len(m.Reads) != 2 || string(m.Reads[1].Value) != "v2" {
+				bad = append(bad, m.String())
+			}
+			copies = append(copies, m)
+			if len(copies) == 1 {
+				message.ReleaseMessage(m)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		src, err := n.Listen(addr(1, 0), func(*message.Message) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := message.AcquireMessage()
+		m.Type = message.TypeMultiReadReply
+		m.Keys = append(m.Keys, "k1", "k2")
+		m.Reads = append(m.Reads, message.ReadResult{Value: []byte("v1"), OK: true}, message.ReadResult{Value: []byte("v2"), OK: true})
+		src.Send(addr(2, 0), m)
+
+		deadline := time.Now().Add(time.Second)
+		for {
+			mu.Lock()
+			got := len(copies)
+			mu.Unlock()
+			if got == 2 || time.Now().After(deadline) {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		mu.Lock()
+		if len(copies) != 2 {
+			t.Fatalf("delay %v: delivered %d copies, want 2", delay, len(copies))
+		}
+		if copies[0] == copies[1] {
+			t.Fatalf("delay %v: the duplicate is the original pointer", delay)
+		}
+		if len(bad) > 0 {
+			t.Fatalf("delay %v: releasing the original disturbed the duplicate: %v", delay, bad)
+		}
+		mu.Unlock()
+		n.Close()
+	}
+}

@@ -401,6 +401,7 @@ func DecodeInto(m *Message, buf []byte) error {
 	m.Watermark = d.ts()
 	m.MapVersion = d.u64()
 	m.WrongShard = d.bool()
+	m.borrowed = false // every byte slice above is now m's own copy
 	if d.err != nil {
 		return d.err
 	}

@@ -313,6 +313,10 @@ type Message struct {
 	// client must refresh its map and re-route.
 	MapVersion uint64
 	WrongShard bool
+
+	// borrowed marks byte slices this message does not own (see
+	// AcquireMessage and Disown); never encoded.
+	borrowed bool
 }
 
 // String gives a short human-readable rendering for logs and test failures.

@@ -1,6 +1,7 @@
 package message
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -171,4 +172,80 @@ func BenchmarkEncodeDecode(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestReleaseDropsBorrowedBytes pins the pool's aliasing rule: a replica
+// builds its replies in pooled messages whose Value and Reads[i].Value point
+// at committed store bytes. Recycling that capacity would let a later
+// DecodeInto into the same message overwrite committed data, so release
+// must drop byte slices the message does not own.
+func TestReleaseDropsBorrowedBytes(t *testing.T) {
+	store := []byte("committed-value-0123456789")
+	want := append([]byte(nil), store...)
+	other := Encode(nil, &Message{Type: TypeMultiReadReply, Value: []byte("XXXXXXXXXX"),
+		Reads: []ReadResult{{Value: []byte("YYYYYYYYYYYYYYYYYYYYYYYYYY"), OK: true}}})
+	// sync.Pool need not hand back the message just released (under -race
+	// it drops some at random); repeating makes recycling one all but
+	// certain.
+	for i := 0; i < 50; i++ {
+		m := AcquireMessage()
+		m.Type = TypeMultiReadReply
+		m.Value = store[:10]
+		m.Reads = append(m.Reads, ReadResult{Value: store, OK: true})
+		ReleaseMessage(m)
+
+		m = AcquireMessage()
+		if err := DecodeInto(m, other); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(store, want) {
+			t.Fatalf("round %d: DecodeInto into a recycled reply overwrote store bytes: %q", i, store)
+		}
+		ReleaseMessage(m)
+	}
+}
+
+// TestDisownedBytesSurviveRelease covers the reader's side: a decoded reply
+// owns its bytes and recycles them into its next decode, unless a reader
+// that kept one of them disowns the message before releasing it.
+func TestDisownedBytesSurviveRelease(t *testing.T) {
+	first := Encode(nil, &Message{Type: TypeReadReply, Value: []byte("first-value")})
+	second := Encode(nil, &Message{Type: TypeReadReply, Value: []byte("other-value")})
+	for i := 0; i < 50; i++ {
+		m := AcquireMessage()
+		if err := DecodeInto(m, first); err != nil {
+			t.Fatal(err)
+		}
+		kept := m.Value
+		m.Disown()
+		ReleaseMessage(m)
+
+		m = AcquireMessage()
+		if err := DecodeInto(m, second); err != nil {
+			t.Fatal(err)
+		}
+		if string(kept) != "first-value" {
+			t.Fatalf("round %d: kept value overwritten by a later decode: %q", i, kept)
+		}
+		ReleaseMessage(m)
+	}
+}
+
+// TestCloneSharesNoRecycledArrays checks that each copy of a duplicated
+// message can be released on its own: releasing one must leave the other's
+// sets intact.
+func TestCloneSharesNoRecycledArrays(t *testing.T) {
+	m := AcquireMessage()
+	m.Type = TypeMultiReadReply
+	m.Keys = append(m.Keys, "a", "b")
+	m.Reads = append(m.Reads, ReadResult{Value: []byte("va"), OK: true}, ReadResult{Value: []byte("vb"), OK: true})
+	m.Txn.ReadSet = append(m.Txn.ReadSet, ReadSetEntry{Key: "a"})
+	c := m.Clone()
+	if !reflect.DeepEqual(m, c) {
+		t.Fatalf("clone differs from original:\n%+v\n%+v", m, c)
+	}
+	ReleaseMessage(m)
+	if len(c.Keys) != 2 || c.Keys[1] != "b" || string(c.Reads[1].Value) != "vb" || c.Txn.ReadSet[0].Key != "a" {
+		t.Fatalf("releasing the original disturbed the clone: %+v", c)
+	}
 }

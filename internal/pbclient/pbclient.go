@@ -67,7 +67,7 @@ func New(cfg Config) (*Client, error) {
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 		in:  transport.NewInbox(256),
 	}
-	ep, err := cfg.Net.Listen(cfg.Topo.ClientAddr(cfg.ClientID), c.in.Handle)
+	ep, err := cfg.Net.ListenDirect(cfg.Topo.ClientAddr(cfg.ClientID), c.in.Handle)
 	if err != nil {
 		return nil, err
 	}

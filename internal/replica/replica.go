@@ -160,6 +160,16 @@ func (c *core) send(dst message.Addr, m *message.Message) {
 	}
 }
 
+// newReply returns a pooled reply of type t from this replica. Hot-path
+// replies go to one coordinator, which releases them once it has read them
+// (DESIGN.md §7).
+func (c *core) newReply(t message.Type) *message.Message {
+	m := message.AcquireMessage()
+	m.Type = t
+	m.ReplicaID = uint32(c.r.cfg.Index)
+	return m
+}
+
 // New creates a replica. Call Start to bind its endpoints.
 func New(cfg Config) (*Replica, error) {
 	if !cfg.Topo.Validate() {
@@ -459,25 +469,20 @@ func ownsTxn(v *shardmap.View, t *message.Txn) bool {
 }
 
 // handleRead serves an execution-phase read from the versioned store. Reads
-// never touch the trecord, so any core of any replica can serve them.
+// never touch the trecord, so any core of any replica can serve them. The
+// request was sent to this core alone, so it is released after the reply.
 func (c *core) handleRead(m *message.Message) {
+	reply := c.newReply(message.TypeReadReply)
+	reply.Key, reply.Seq = m.Key, m.Seq
 	if v := c.ownView(); v != nil && !v.Owns(shardmap.Hash(m.Key)) {
 		c.obs.Inc(obs.WrongShardRedirect)
-		c.send(m.Src, &message.Message{
-			Type: message.TypeReadReply,
-			Key:  m.Key, Seq: m.Seq,
-			WrongShard: true, MapVersion: v.Version(),
-			ReplicaID: uint32(c.r.cfg.Index),
-		})
-		return
+		reply.WrongShard, reply.MapVersion = true, v.Version()
+	} else {
+		v, ok := c.r.store.Read(m.Key)
+		reply.Value, reply.TS, reply.OK = v.Value, v.WTS, ok
 	}
-	v, ok := c.r.store.Read(m.Key)
-	c.send(m.Src, &message.Message{
-		Type: message.TypeReadReply,
-		Key:  m.Key, Seq: m.Seq,
-		Value: v.Value, TS: v.WTS, OK: ok,
-		ReplicaID: uint32(c.r.cfg.Index),
-	})
+	c.send(m.Src, reply)
+	message.ReleaseMessage(m)
 }
 
 // handleMultiRead serves a whole batch of execution-phase reads in one
@@ -485,6 +490,10 @@ func (c *core) handleRead(m *message.Message) {
 // request. Like single reads, the batch only touches the lock-free versioned
 // store — never the trecord — so any core of any replica can serve it, and
 // batching adds no coordination.
+//
+// A plain multi-read was sent to this core alone, so it is released after the
+// reply. A snapshot read (non-zero TS) is one request shared by several
+// replicas and is never released.
 func (c *core) handleMultiRead(m *message.Message) {
 	if !m.TS.IsZero() {
 		c.handleSnapshotRead(m)
@@ -492,33 +501,28 @@ func (c *core) handleMultiRead(m *message.Message) {
 	}
 	if v := c.ownView(); !ownsKeys(v, m.Keys) {
 		c.redirectMultiRead(m, v)
-		return
+	} else {
+		reply := c.newReply(message.TypeMultiReadReply)
+		reply.Seq = m.Seq
+		for _, k := range m.Keys {
+			v, ok := c.r.store.Read(k)
+			reply.Reads = append(reply.Reads, message.ReadResult{Value: v.Value, WTS: v.WTS, OK: ok, Op: v.Op})
+		}
+		reply.Watermark = c.wm.Watermark()
+		c.obs.Inc(obs.MultiReadServed)
+		c.send(m.Src, reply)
 	}
-	reads := make([]message.ReadResult, len(m.Keys))
-	for i, k := range m.Keys {
-		v, ok := c.r.store.Read(k)
-		reads[i] = message.ReadResult{Value: v.Value, WTS: v.WTS, OK: ok, Op: v.Op}
-	}
-	c.obs.Inc(obs.MultiReadServed)
-	c.send(m.Src, &message.Message{
-		Type:      message.TypeMultiReadReply,
-		Seq:       m.Seq,
-		Reads:     reads,
-		Watermark: c.wm.Watermark(),
-		ReplicaID: uint32(c.r.cfg.Index),
-	})
+	message.ReleaseMessage(m)
 }
 
 // redirectMultiRead answers a (multi-)read whose key set is no longer fully
 // owned here with a WrongShard redirect. No store state is touched.
 func (c *core) redirectMultiRead(m *message.Message, v *shardmap.View) {
 	c.obs.Inc(obs.WrongShardRedirect)
-	c.send(m.Src, &message.Message{
-		Type: message.TypeMultiReadReply,
-		Seq:  m.Seq,
-		WrongShard: true, MapVersion: v.Version(),
-		ReplicaID: uint32(c.r.cfg.Index),
-	})
+	reply := c.newReply(message.TypeMultiReadReply)
+	reply.Seq = m.Seq
+	reply.WrongShard, reply.MapVersion = true, v.Version()
+	c.send(m.Src, reply)
 }
 
 // handleSnapshotRead serves a multi-read pinned at snapshot timestamp m.TS
@@ -538,11 +542,12 @@ func (c *core) handleSnapshotRead(m *message.Message) {
 		c.redirectMultiRead(m, v)
 		return
 	}
-	reads := make([]message.ReadResult, len(m.Keys))
+	reply := c.newReply(message.TypeMultiReadReply)
+	reply.Seq = m.Seq
 	wmin := m.TS
-	for i, k := range m.Keys {
+	for _, k := range m.Keys {
 		v, bound, ok := c.r.store.SnapshotRead(k, m.TS)
-		reads[i] = message.ReadResult{Value: v.Value, WTS: v.WTS, OK: ok, Op: v.Op}
+		reply.Reads = append(reply.Reads, message.ReadResult{Value: v.Value, WTS: v.WTS, OK: ok, Op: v.Op})
 		if bound.Less(wmin) {
 			wmin = bound
 		}
@@ -559,13 +564,8 @@ func (c *core) handleSnapshotRead(m *message.Message) {
 		wmin = timestamp.Zero
 	}
 	c.obs.Inc(obs.SnapshotRead)
-	c.send(m.Src, &message.Message{
-		Type:      message.TypeMultiReadReply,
-		Seq:       m.Seq,
-		Reads:     reads,
-		Watermark: wmin,
-		ReplicaID: uint32(c.r.cfg.Index),
-	})
+	reply.Watermark = wmin
+	c.send(m.Src, reply)
 }
 
 // handleValidate runs step 2 of the commit protocol: create the trecord
@@ -589,12 +589,9 @@ func (c *core) handleValidate(m *message.Message) {
 		// against the moved range here. The client refreshes its map and
 		// re-routes.
 		c.obs.Inc(obs.WrongShardRedirect)
-		reply = &message.Message{
-			Type: message.TypeValidateReply,
-			TID:  m.Txn.ID,
-			WrongShard: true, MapVersion: v.Version(),
-			ReplicaID: uint32(c.r.cfg.Index),
-		}
+		reply = c.newReply(message.TypeValidateReply)
+		reply.TID = m.Txn.ID
+		reply.WrongShard, reply.MapVersion = true, v.Version()
 	} else {
 		if rec == nil {
 			rec, _ = p.GetOrCreate(m.Txn.ID)
@@ -618,11 +615,15 @@ func (c *core) handleValidate(m *message.Message) {
 }
 
 func (c *core) validateReply(tid timestamp.TxnID, st message.Status, view uint64) *message.Message {
-	return &message.Message{
-		Type: message.TypeValidateReply,
-		TID:  tid, Status: st, View: view,
-		ReplicaID: uint32(c.r.cfg.Index),
-	}
+	reply := c.newReply(message.TypeValidateReply)
+	reply.TID, reply.Status, reply.View = tid, st, view
+	return reply
+}
+
+func (c *core) acceptReply(tid timestamp.TxnID, ok bool, view uint64) *message.Message {
+	reply := c.newReply(message.TypeAcceptReply)
+	reply.TID, reply.OK, reply.View = tid, ok, view
+	return reply
 }
 
 // handleAccept runs the replica side of the slow path (step 5), which
@@ -653,16 +654,10 @@ func (c *core) handleAccept(m *message.Message) {
 		// Consistency is guaranteed: all coordinators reach the same
 		// decision (§5.3.2).
 		c.obs.Inc(obs.AcceptAcked)
-		reply = &message.Message{
-			Type: message.TypeAcceptReply, TID: m.TID, OK: true,
-			View: m.View, ReplicaID: uint32(c.r.cfg.Index),
-		}
+		reply = c.acceptReply(m.TID, true, m.View)
 	case m.View < rec.View:
 		c.obs.Inc(obs.AcceptRejected)
-		reply = &message.Message{
-			Type: message.TypeAcceptReply, TID: m.TID, OK: false,
-			View: rec.View, ReplicaID: uint32(c.r.cfg.Index),
-		}
+		reply = c.acceptReply(m.TID, false, rec.View)
 	default:
 		rec.View = m.View
 		rec.AcceptView = m.View
@@ -683,10 +678,7 @@ func (c *core) handleAccept(m *message.Message) {
 			c.wm.Finalize(m.TID)
 		}
 		c.obs.Inc(obs.AcceptAcked)
-		reply = &message.Message{
-			Type: message.TypeAcceptReply, TID: m.TID, OK: true,
-			View: m.View, ReplicaID: uint32(c.r.cfg.Index),
-		}
+		reply = c.acceptReply(m.TID, true, m.View)
 	}
 	c.unlockRecords()
 	c.send(m.Src, reply)

@@ -39,13 +39,9 @@ type InprocConfig struct {
 	// 1/ServiceTime messages per second). Benchmarks on machines with fewer
 	// CPUs than simulated server cores use it to measure capacity scaling
 	// (adding shards adds serving endpoints) instead of raw CPU contention.
-	// Zero disables the model entirely.
+	// Endpoints bound by ListenDirect (client reply inboxes) have no
+	// delivery goroutine and are never throttled. Zero disables the model.
 	ServiceTime time.Duration
-	// ServiceNodeLimit restricts ServiceTime to endpoints whose node id is
-	// below it — pass the topology's client node base so only replica
-	// endpoints are throttled, never client reply inboxes. Zero applies the
-	// model to every endpoint.
-	ServiceNodeLimit uint32
 }
 
 // InprocStats counts network activity. Read with the atomic Load methods.
@@ -55,19 +51,24 @@ type InprocStats struct {
 	Dropped   atomic.Uint64 // random drops + full queues + filtered links
 }
 
-// Inproc is an in-process Network. Each endpoint owns a delivery queue
-// drained by a dedicated goroutine, modelling one server thread polling one
-// NIC queue. Sends between endpoints are direct channel hand-offs with no
+// Inproc is an in-process Network. An endpoint bound by Listen owns a
+// delivery queue drained by a dedicated goroutine, modelling one server
+// thread polling one NIC queue. An endpoint bound by ListenDirect has no
+// queue and no goroutine: the sender runs its handler — for a client, that
+// handler pushes the reply straight into the waiting worker's Inbox, so a
+// reply wakes one goroutine, not two. Sends are direct hand-offs with no
 // serialization, the stand-in for the paper's eRPC kernel-bypass stack.
+//
 // There is no shared mutable state on the send path — per the paper's
 // zero-coordination discipline, concurrent senders contend only on the
-// destination's channel.
+// destination's channel. The endpoint table is an immutable map behind an
+// atomic pointer: a send loads it once, and Listen/Close publish a copy.
 type Inproc struct {
 	cfg   InprocConfig
 	stats InprocStats
 
-	mu        sync.RWMutex
-	endpoints map[message.Addr]*inprocEndpoint
+	mu        sync.Mutex // serializes endpoint-table writers
+	endpoints atomic.Pointer[map[message.Addr]*inprocEndpoint]
 	closed    bool
 
 	// filter, when set, decides per (src, dst) whether a message may pass.
@@ -83,10 +84,21 @@ func NewInproc(cfg InprocConfig) *Inproc {
 	if cfg.Batch <= 0 {
 		cfg.Batch = 32
 	}
-	return &Inproc{
-		cfg:       cfg,
-		endpoints: make(map[message.Addr]*inprocEndpoint),
+	n := &Inproc{cfg: cfg}
+	n.endpoints.Store(&map[message.Addr]*inprocEndpoint{})
+	return n
+}
+
+// updateEndpoints publishes a copy of the endpoint table with fn applied.
+// Callers hold n.mu.
+func (n *Inproc) updateEndpoints(fn func(map[message.Addr]*inprocEndpoint)) {
+	old := *n.endpoints.Load()
+	next := make(map[message.Addr]*inprocEndpoint, len(old)+1)
+	for a, ep := range old {
+		next[a] = ep
 	}
+	fn(next)
+	n.endpoints.Store(&next)
 }
 
 // Stats returns the network's counters.
@@ -120,35 +132,44 @@ func (n *Inproc) Heal() { n.SetLinkFilter(nil) }
 
 // Listen implements Network.
 func (n *Inproc) Listen(addr message.Addr, h Handler) (Endpoint, error) {
+	return n.listen(addr, h, false)
+}
+
+// ListenDirect implements Network: the endpoint gets no queue and no
+// delivery goroutine, and every message runs h on the goroutine that
+// delivers it — the sender's, or a delay timer's.
+func (n *Inproc) ListenDirect(addr message.Addr, h Handler) (Endpoint, error) {
+	return n.listen(addr, h, true)
+}
+
+func (n *Inproc) listen(addr message.Addr, h Handler, direct bool) (Endpoint, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
 		return nil, ErrClosed
 	}
-	if _, ok := n.endpoints[addr]; ok {
+	if _, ok := (*n.endpoints.Load())[addr]; ok {
 		return nil, ErrAddrInUse
 	}
-	ep := &inprocEndpoint{
-		net:  n,
-		addr: addr,
-		h:    h,
-		ch:   make(chan *message.Message, n.cfg.QueueDepth),
-		quit: make(chan struct{}),
+	ep := &inprocEndpoint{net: n, addr: addr, h: h, direct: direct}
+	if !direct {
+		ep.ch = make(chan *message.Message, n.cfg.QueueDepth)
+		ep.quit = make(chan struct{})
 	}
 	ep.rng.state.Store(mix64(uint64(n.cfg.Seed) ^ uint64(addr.Node)<<32 ^ uint64(addr.Core)))
-	n.endpoints[addr] = ep
-	go ep.run()
+	n.updateEndpoints(func(m map[message.Addr]*inprocEndpoint) { m[addr] = ep })
+	if !direct {
+		go ep.run()
+	}
 	return ep, nil
 }
 
 // Close implements Network.
 func (n *Inproc) Close() error {
 	n.mu.Lock()
-	eps := make([]*inprocEndpoint, 0, len(n.endpoints))
-	for _, ep := range n.endpoints {
-		eps = append(eps, ep)
-	}
 	n.closed = true
+	eps := *n.endpoints.Load()
+	n.endpoints.Store(&map[message.Addr]*inprocEndpoint{})
 	n.mu.Unlock()
 	for _, ep := range eps {
 		ep.Close()
@@ -171,9 +192,7 @@ func (n *Inproc) dispatch(src *inprocEndpoint, dst message.Addr, m *message.Mess
 		return nil
 	}
 
-	n.mu.RLock()
-	ep, ok := n.endpoints[dst]
-	n.mu.RUnlock()
+	ep, ok := (*n.endpoints.Load())[dst]
 	if !ok {
 		n.stats.Dropped.Add(1)
 		return nil // unreachable destination: a silent drop, not an error
@@ -243,8 +262,9 @@ type inprocEndpoint struct {
 	net    *Inproc
 	addr   message.Addr
 	h      Handler
-	ch     chan *message.Message
-	quit   chan struct{}
+	direct bool                  // bound by ListenDirect: no ch, quit, or run
+	ch     chan *message.Message // nil when direct
+	quit   chan struct{}         // nil when direct
 	closed atomic.Bool
 	rng    dropRNG // per-endpoint drop PRNG; see InprocConfig.Seed
 }
@@ -256,9 +276,6 @@ type inprocEndpoint struct {
 func (ep *inprocEndpoint) run() {
 	batch := ep.net.cfg.Batch
 	service := ep.net.cfg.ServiceTime
-	if limit := ep.net.cfg.ServiceNodeLimit; service > 0 && limit > 0 && ep.addr.Node >= limit {
-		service = 0
-	}
 	for {
 		select {
 		case <-ep.quit:
@@ -288,6 +305,11 @@ func (ep *inprocEndpoint) run() {
 func (ep *inprocEndpoint) enqueue(m *message.Message, stats *InprocStats) {
 	if ep.closed.Load() {
 		stats.Dropped.Add(1)
+		return
+	}
+	if ep.direct {
+		stats.Delivered.Add(1)
+		ep.h(m)
 		return
 	}
 	select {
@@ -343,17 +365,22 @@ func (ep *inprocEndpoint) Close() error {
 	if ep.closed.Swap(true) {
 		return nil
 	}
-	close(ep.quit)
-	ep.net.mu.Lock()
-	if ep.net.endpoints[ep.addr] == ep {
-		delete(ep.net.endpoints, ep.addr)
+	if !ep.direct {
+		close(ep.quit)
 	}
-	ep.net.mu.Unlock()
+	n := ep.net
+	n.mu.Lock()
+	if (*n.endpoints.Load())[ep.addr] == ep {
+		n.updateEndpoints(func(m map[message.Addr]*inprocEndpoint) { delete(m, ep.addr) })
+	}
+	n.mu.Unlock()
 	return nil
 }
 
 // Inbox is a Handler that buffers inbound messages into a channel, for
-// callers (clients, coordinators) that consume replies synchronously.
+// callers (clients, coordinators) that consume replies synchronously. Handle
+// never blocks and is safe for concurrent use, so an Inbox may be bound with
+// ListenDirect.
 type Inbox struct {
 	C chan *message.Message
 }
@@ -377,11 +404,15 @@ func (in *Inbox) Handle(m *message.Message) {
 
 // Drain discards buffered messages without blocking, so a fresh request phase
 // does not mistake a stale reply (from a timed-out earlier attempt) for its
-// own.
+// own. Drained messages go back to the message pool, so bind an Inbox that
+// is drained only where every inbound message was sent to it alone (replies,
+// never a shared broadcast): its reader owns what it takes from C.
 func (in *Inbox) Drain() {
 	for {
 		select {
-		case <-in.C:
+		case m := <-in.C:
+			m.Disown()
+			message.ReleaseMessage(m)
 		default:
 			return
 		}

@@ -5,9 +5,11 @@
 //   - Inproc: an in-process network with one delivery queue per (node, core)
 //     endpoint, standing in for the paper's eRPC kernel-bypass stack. A send
 //     is a direct hand-off into the destination core's queue — no
-//     serialization, no syscalls — so per-message cost is low enough to
-//     expose application-level coordination bottlenecks, exactly the regime
-//     Figure 1 of the paper demonstrates.
+//     serialization, no syscalls — and a reply to a client endpoint is
+//     handed straight to the waiting worker's Inbox (ListenDirect), so
+//     per-message cost is low enough to expose application-level
+//     coordination bottlenecks, exactly the regime Figure 1 of the paper
+//     demonstrates.
 //
 //   - UDP: a real loopback UDP transport on stdlib net, standing in for the
 //     paper's traditional Linux UDP stack. Messages pay full binary
@@ -25,10 +27,16 @@ import (
 	"meerkat/internal/message"
 )
 
-// Handler processes one inbound message. For server endpoints the handler
-// runs on the endpoint's dedicated delivery goroutine — the analogue of a
-// server thread polling its NIC receive queue — so handlers for one core
-// never run concurrently with each other.
+// Handler processes one inbound message. On an endpoint bound by Listen the
+// handler runs on the endpoint's dedicated delivery goroutine — the analogue
+// of a server thread polling its NIC receive queue — so handlers for one core
+// never run concurrently with each other. On an endpoint bound by
+// ListenDirect it may run on any goroutine, concurrently with itself.
+//
+// A message sent to one destination alone belongs to that handler, which may
+// release it to the message pool once done with it; a message shared by
+// several destinations (see SendBatch) is read-only and never released.
+// DESIGN.md §7 lists which message kinds are which.
 type Handler func(m *message.Message)
 
 // Outgoing pairs one message with its destination, for batched sends.
@@ -74,8 +82,16 @@ type Endpoint interface {
 
 // Network creates endpoints sharing one message fabric.
 type Network interface {
-	// Listen binds addr and dispatches inbound messages to h.
+	// Listen binds addr and dispatches inbound messages to h, one at a
+	// time, from a delivery goroutine the endpoint owns.
 	Listen(addr message.Addr, h Handler) (Endpoint, error)
+	// ListenDirect binds addr for a handler that never blocks and is safe
+	// to call concurrently — typically Inbox.Handle, or a router that
+	// pushes into one of several Inboxes. A transport may then run h on
+	// whichever goroutine delivers the message (the sender's, for
+	// Inproc), saving a goroutine hop per message. Transports without
+	// that shortcut treat it as Listen.
+	ListenDirect(addr message.Addr, h Handler) (Endpoint, error)
 	// Close shuts down the network and all endpoints.
 	Close() error
 }

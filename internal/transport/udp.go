@@ -211,6 +211,13 @@ func (n *UDP) Listen(addr message.Addr, h Handler) (Endpoint, error) {
 	return ep, nil
 }
 
+// ListenDirect implements Network. The read loop is already the socket
+// poller, the goroutine a datagram must wake anyway, so a direct endpoint is
+// an ordinary one.
+func (n *UDP) ListenDirect(addr message.Addr, h Handler) (Endpoint, error) {
+	return n.Listen(addr, h)
+}
+
 // releasePort frees ep's port slot so a restarted node (replica recovery)
 // can rebind the same address.
 func (n *UDP) releasePort(ep *udpEndpoint) {

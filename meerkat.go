@@ -195,8 +195,8 @@ type Config struct {
 	Delay    time.Duration
 
 	// InprocServiceTime, when positive, caps every replica endpoint of the
-	// inproc transport at one message per this much time (client endpoints
-	// are exempt) — a service-capacity model for benchmarks run on machines
+	// inproc transport at one message per this much time (client reply
+	// endpoints, bound with ListenDirect, are exempt) — a service-capacity model for benchmarks run on machines
 	// with fewer CPUs than simulated server cores, where shard scaling
 	// would otherwise be invisible. Leave zero outside such benchmarks.
 	InprocServiceTime time.Duration
@@ -466,11 +466,10 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			delay = func() time.Duration { return d }
 		}
 		c.inet = transport.NewInproc(transport.InprocConfig{
-			DropProb:         cfg.DropProb,
-			Delay:            delay,
-			Seed:             cfg.Seed,
-			ServiceTime:      cfg.InprocServiceTime,
-			ServiceNodeLimit: topo.ClientNodeBase,
+			DropProb:    cfg.DropProb,
+			Delay:       delay,
+			Seed:        cfg.Seed,
+			ServiceTime: cfg.InprocServiceTime,
 		})
 		c.net = c.inet
 	case TransportUDP:

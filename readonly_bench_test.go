@@ -44,8 +44,9 @@ func BenchmarkReadOnlyTxnTimeline10(b *testing.B) {
 // count (coordinator + transport + the whole replica group's handlers, since
 // AllocsPerRun counts global mallocs). Dropping the validation round must
 // not smuggle in churn: the snapshot path measured 12 allocs/op at
-// introduction, below the classic validated read transaction's 16; the gate
-// leaves two objects of headroom.
+// introduction, below the classic validated read transaction's 16, and 4
+// once replies were pooled (DESIGN.md §7); the gate leaves one object of
+// headroom.
 func TestReadOnlyTxnAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds allocations; gate runs without -race")
@@ -66,8 +67,8 @@ func TestReadOnlyTxnAllocGate(t *testing.T) {
 	}
 	commit() // warm the coordinator's reusable timers and scratch
 	allocs := testing.AllocsPerRun(200, commit)
-	if allocs > 14 {
-		t.Fatalf("read-only commit allocated %v objects/op, want <= 14 (classic validated read: ~16)", allocs)
+	if allocs > 5 {
+		t.Fatalf("read-only commit allocated %v objects/op, want <= 5", allocs)
 	}
 }
 

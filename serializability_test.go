@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"meerkat/internal/checker"
+	"meerkat/internal/faultnet"
 	"meerkat/internal/obs"
 	"meerkat/internal/timestamp"
 )
@@ -31,6 +32,10 @@ type stressConfig struct {
 	// when confirmed and demote when not, and either way their reads join
 	// the history for the checker to verify against the concurrent writes.
 	roSnapshot bool
+	// window, when positive, drives the clients as the pipelined workers
+	// of one Session of that width (one socket set, replies demultiplexed
+	// by worker) instead of as independent clients.
+	window int
 }
 
 // runSerializabilityStress hammers the cluster with random multi-key
@@ -51,9 +56,24 @@ func runSerializabilityStress(t *testing.T, cfg stressConfig) (*checker.History,
 	for i := 0; i < cfg.keys; i++ {
 		hist.SetInitialValue(fmt.Sprintf("k%d", i), []byte("0"))
 	}
+	clients := make([]*Client, 0, cfg.clients)
+	if cfg.window > 0 {
+		for len(clients) < cfg.clients {
+			s, err := c.NewSession(cfg.window)
+			if err != nil {
+				t.Fatalf("NewSession: %v", err)
+			}
+			t.Cleanup(s.Close)
+			clients = append(clients, s.Clients()...)
+		}
+		clients = clients[:cfg.clients]
+	} else {
+		for i := 0; i < cfg.clients; i++ {
+			clients = append(clients, newTestClient(t, c))
+		}
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < cfg.clients; i++ {
-		cl := newTestClient(t, c)
+	for i, cl := range clients {
 		wg.Add(1)
 		go func(cl *Client, seed int64) {
 			defer wg.Done()
@@ -143,6 +163,36 @@ func TestSerializabilityUnderReordering(t *testing.T) {
 		keys:     6,
 		seed:     200,
 	})
+}
+
+func TestSerializabilityUnderDuplication(t *testing.T) {
+	// Every link duplicates and delays a share of its messages, so replies
+	// arrive twice, late, and out of order at pipelined session workers
+	// that release each reply to the message pool as soon as they have read
+	// it. A duplicate sharing recycled state with its original, or a stale
+	// reply mistaken for a fresh one, shows up as a checker violation (or,
+	// under -race, as a data race).
+	hist, c := runSerializabilityStress(t, stressConfig{
+		cluster: Config{
+			Partitions: 2, Cores: 2,
+			CommitTimeout: 50 * time.Millisecond, Retries: 20,
+			Faults: &faultnet.Plan{Seed: 600, Rules: []faultnet.Rule{{
+				SrcNode: faultnet.Any, DstNode: faultnet.Any, SrcCore: faultnet.Any, DstCore: faultnet.Any,
+				DupProb: 0.3, DelayProb: 0.3, Delay: 200 * time.Microsecond, Jitter: 300 * time.Microsecond,
+			}}},
+		},
+		clients:    8,
+		txnsEach:   40,
+		keys:       4,
+		seed:       600,
+		ops:        true,
+		roSnapshot: true,
+		window:     4,
+	})
+	if dups := c.FaultNetwork().Stats().Duplicated.Load(); dups == 0 {
+		t.Fatal("no message was duplicated; the stress exercised nothing")
+	}
+	t.Logf("%d commits, %d duplicated messages", hist.Len(), c.FaultNetwork().Stats().Duplicated.Load())
 }
 
 func TestSerializabilityHighContention(t *testing.T) {

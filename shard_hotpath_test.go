@@ -51,8 +51,8 @@ func TestShardedCommitAllocGate(t *testing.T) {
 	}
 	commit() // warm the coordinator's reusable timers and scratch
 	allocs := testing.AllocsPerRun(200, commit)
-	if allocs > 19 {
-		t.Fatalf("sharded single-shard commit allocated %v objects/op, want <= 19 (routing must be allocation-free)", allocs)
+	if allocs > 10 {
+		t.Fatalf("sharded single-shard commit allocated %v objects/op, want <= 10 (routing must be allocation-free)", allocs)
 	}
 }
 
